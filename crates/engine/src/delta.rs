@@ -11,6 +11,11 @@
 //! [`DeltaOverlay::materialize`] (the engine memoizes that per
 //! `(epoch, seq)`).
 //!
+//! The fold is a row patch, not a rebuild: it copies the base's out, in
+//! and symmetric views and rebuilds only the rows the overlay names, so
+//! its cost is a copy of three views plus the touched rows, whatever the
+//! size of the graph around them.
+//!
 //! Semantics are set-based and tombstone-wins, chosen so a mutation stream
 //! is confluent — the live edge set is always
 //! `(base ∪ inserts) − deletes`, regardless of interleaving:
@@ -28,16 +33,19 @@
 //! The correctness bar is the **rebuild oracle**: after any mutation
 //! stream, reads through the overlay and reads after compaction must both
 //! be digest-identical ([`structural_digest`]) to a graph rebuilt from
-//! scratch with the same mutations applied. [`IncrementalCComp`] maintains
-//! connected-component labels across *insert-only* deltas with a union-find
-//! seeded from the base labels; any effective delete marks the overlay
-//! dirty and the engine falls back to a full recompute on the materialized
-//! graph.
+//! scratch with the same mutations applied, and the row patch must equal
+//! that rebuild view for view
+//! ([`rebuild_from_scratch`](crate::traffic::rebuild_from_scratch)).
+//! [`IncrementalCComp`] maintains connected-component labels across
+//! *insert-only* deltas with a union-find seeded from the base labels; any
+//! effective delete marks the overlay dirty and the engine falls back to a
+//! full recompute on the materialized graph.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use graphbig_framework::csr::Csr;
+use graphbig_framework::csr::{sym_row, Csr};
+use graphbig_workloads::service::ServiceGraph;
 
 use crate::shard::ShardedGraph;
 
@@ -392,16 +400,110 @@ impl DeltaOverlay {
         count
     }
 
-    /// Fold the overlay into a fresh CSR over `n_total` vertices — the
-    /// compaction step, and the recompute path for whole-graph kernels on
-    /// a non-empty overlay.
+    /// Fold the overlay into a fresh sharded graph over `n_total`
+    /// vertices — the compaction step, and the recompute path for
+    /// whole-graph kernels on a non-empty overlay.
+    ///
+    /// A row patch, not a rebuild: each of the base's three views (out, in,
+    /// symmetric) is copied, and only the rows the overlay names
+    /// ([`DeltaOverlay::touched_rows`]) are rebuilt. The result is equal,
+    /// view for view, to building the live edge list from scratch through
+    /// `Csr::from_edges` and [`ShardedGraph::build`]; the cost is a copy of
+    /// the three views plus the touched rows.
     pub fn materialize(&self, base: &ShardedGraph, num_shards: usize) -> ShardedGraph {
         let n = self.n_total() as usize;
-        let mut edges = Vec::with_capacity(base.num_edges() + self.overlay_edges());
-        for u in 0..n as u32 {
-            self.for_each_live_out(base, u, |t, w| edges.push((u, t, w)));
+        let views = base.service();
+        let rows = self.touched_rows(base);
+        let out = Csr::splice_rows(views.out(), n, &rows.out, |u, row| {
+            self.for_each_live_out(base, u, |t, w| row.push((t, w)))
+        });
+        let inc = Csr::splice_rows(views.bi().inc(), n, &rows.inc, |t, row| {
+            self.live_in_row(base, t, row)
+        });
+        let (mut sorted, mut merged) = (Vec::new(), Vec::new());
+        let sym = Csr::splice_rows(views.sym(), n, &rows.sym, |u, row| {
+            merged.clear();
+            sym_row(
+                u,
+                out.neighbors(u),
+                inc.neighbors(u),
+                &mut sorted,
+                &mut merged,
+            );
+            row.extend(merged.iter().map(|&v| (v, 1.0)));
+        });
+        ShardedGraph::from_service(ServiceGraph::from_views(out, inc, sym), num_shards)
+    }
+
+    /// The rows of each view that differ from the base, sorted and unique:
+    /// - an insert, tombstone or weight patch of `(u, t)` touches out-row
+    ///   `u`, in-row `t` and symmetric rows `u` and `t`;
+    /// - a removed vertex touches its own rows, the out-rows of its base
+    ///   in-neighbours, the in-rows of its base out-neighbours and the
+    ///   symmetric rows of both (its overlay edges are already purged from
+    ///   the overlay, and were never in the base);
+    /// - every added vertex touches all three of its rows.
+    fn touched_rows(&self, base: &ShardedGraph) -> TouchedRows {
+        let mut r = TouchedRows::default();
+        let pairs = self
+            .adds
+            .iter()
+            .flat_map(|(&u, row)| row.iter().map(move |&(t, _)| (u, t)));
+        for (u, t) in pairs
+            .chain(self.deleted.iter().copied())
+            .chain(self.patches.keys().copied())
+        {
+            r.out.push(u);
+            r.inc.push(t);
+            r.sym.extend([u, t]);
         }
-        ShardedGraph::build(Csr::from_edges(n, &edges), num_shards)
+        let views = base.service();
+        let added = self.base_n..self.n_total();
+        for v in self.removed.iter().copied().chain(added) {
+            r.out.push(v);
+            r.inc.push(v);
+            r.sym.push(v);
+            // Below `base_n`, only removed vertices: drop their base edges.
+            if v < self.base_n {
+                let sources = views.bi().inc().neighbors(v);
+                let targets = views.out().neighbors(v);
+                r.out.extend_from_slice(sources);
+                r.inc.extend_from_slice(targets);
+                r.sym.extend(sources.iter().chain(targets));
+            }
+        }
+        for rows in [&mut r.out, &mut r.inc, &mut r.sym] {
+            rows.sort_unstable();
+            rows.dedup();
+        }
+        r
+    }
+
+    /// The live in-edges of `t` as `(source, weight)`, sources ascending —
+    /// one row of the transpose of [`DeltaOverlay::for_each_live_out`]: the
+    /// base in-row minus removed sources and tombstones (weights patched),
+    /// plus overlay inserts, stably sorted so parallel base copies keep
+    /// their base order.
+    fn live_in_row(&self, base: &ShardedGraph, t: u32, row: &mut Vec<(u32, f32)>) {
+        if !self.alive(t) {
+            return;
+        }
+        if t < self.base_n {
+            let inc = base.service().bi().inc();
+            for (&s, &w) in inc.neighbors(t).iter().zip(inc.edge_weights(t)) {
+                if !self.removed.contains(&s) && !self.deleted.contains(&(s, t)) {
+                    row.push((s, self.patches.get(&(s, t)).copied().unwrap_or(w)));
+                }
+            }
+        }
+        for &s in self.in_adds.get(&t).into_iter().flatten() {
+            let (_, w) = self.adds[&s]
+                .iter()
+                .find(|&&(v, _)| v == t)
+                .expect("in_adds mirrors adds");
+            row.push((s, *w));
+        }
+        row.sort_by_key(|&(s, _)| s);
     }
 
     /// Structural digest of the overlay view — must equal
@@ -413,6 +515,14 @@ impl DeltaOverlay {
             self.for_each_live_out(base, u, |t, w| row.push((t, w)))
         })
     }
+}
+
+/// Per-view row lists of [`DeltaOverlay::touched_rows`].
+#[derive(Default)]
+struct TouchedRows {
+    out: Vec<u32>,
+    inc: Vec<u32>,
+    sym: Vec<u32>,
 }
 
 /// Remove matching entries from one keyed row, dropping the key when the
@@ -613,6 +723,7 @@ impl IncrementalCComp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::rebuild_from_scratch;
     use graphbig_datagen::rng::Rng;
     use graphbig_datagen::Dataset;
     use graphbig_runtime::{CancelToken, ThreadPool};
@@ -624,12 +735,28 @@ mod tests {
     }
 
     /// Rebuild "from scratch": replay the same mutation stream through a
-    /// *fresh* buffer and materialize — the reference the overlay view
-    /// must match bit-for-bit.
+    /// *fresh* buffer and build every view anew from its live edges — the
+    /// reference the overlay view and the row patch must match.
     fn rebuilt(b: &ShardedGraph, muts: &[Mutation]) -> ShardedGraph {
+        rebuild_from_scratch(&ov_after(b, muts), b, 4)
+    }
+
+    fn ov_after(b: &ShardedGraph, muts: &[Mutation]) -> Arc<DeltaOverlay> {
         let buf = MutationBuffer::new(1, b.num_vertices() as u32);
         buf.apply(b, muts);
-        buf.current().materialize(b, 4)
+        buf.current()
+    }
+
+    /// Equality of every part of a sharded graph a kernel or router reads.
+    /// [`structural_digest`] hashes the out view only; this also catches a
+    /// wrong in-view, symmetric view or shard list.
+    fn assert_same_graph(got: &ShardedGraph, want: &ShardedGraph, ctx: &str) {
+        assert_eq!(got.num_vertices(), want.num_vertices(), "{ctx}: n");
+        assert_eq!(got.service().out(), want.service().out(), "{ctx}: out");
+        let (gi, wi) = (got.service().bi().inc(), want.service().bi().inc());
+        assert_eq!(gi, wi, "{ctx}: in-view");
+        assert_eq!(got.service().sym(), want.service().sym(), "{ctx}: sym");
+        assert_eq!(got.shards(), want.shards(), "{ctx}: shards");
     }
 
     fn seeded_mutations(b: &ShardedGraph, seed: u64, count: usize) -> Vec<Mutation> {
@@ -764,33 +891,162 @@ mod tests {
         );
     }
 
+    /// Apply `muts` to a fresh buffer over `b` in `chunk`-sized batches and
+    /// check, after every batch, that the overlay reads, the row patch and
+    /// the point queries all equal the from-scratch rebuild. Returns the
+    /// final overlay.
+    fn check_stream(
+        name: &str,
+        b: &ShardedGraph,
+        muts: &[Mutation],
+        chunk: usize,
+        shards: usize,
+    ) -> Arc<DeltaOverlay> {
+        let buf = MutationBuffer::new(1, b.num_vertices() as u32);
+        let mut prefix = 0;
+        loop {
+            let batch = &muts[prefix..(prefix + chunk).min(muts.len())];
+            buf.apply(b, batch);
+            prefix += batch.len();
+            let ov = buf.current();
+            let reference = rebuild_from_scratch(&ov, b, shards);
+            let ctx = format!("{name}, prefix {prefix}");
+            assert_eq!(
+                ov.live_digest(b),
+                structural_digest(&reference),
+                "{ctx}: overlay view diverged from rebuild"
+            );
+            assert_same_graph(&ov.materialize(b, shards), &reference, &ctx);
+            // Point queries agree with the reference graph everywhere.
+            for v in (0..ov.n_total()).step_by(17) {
+                assert_eq!(ov.degree(b, v), reference.degree(v), "{ctx}: degree({v})");
+                assert_eq!(
+                    ov.k_hop(b, v, 2),
+                    reference.k_hop(v, 2),
+                    "{ctx}: k_hop({v})"
+                );
+            }
+            if prefix == muts.len() {
+                return ov;
+            }
+        }
+    }
+
     #[test]
     fn seeded_stream_matches_rebuild_oracle_at_every_prefix() {
         let b = base(150);
         let muts = seeded_mutations(&b, 0xD5EA, 400);
-        let buf = MutationBuffer::new(1, b.num_vertices() as u32);
-        for (i, chunk) in muts.chunks(40).enumerate() {
-            buf.apply(&b, chunk);
-            let ov = buf.current();
-            let reference = rebuilt(&b, &muts[..(i + 1) * 40]);
-            assert_eq!(
-                ov.live_digest(&b),
-                structural_digest(&reference),
-                "prefix {} diverged from rebuild",
-                (i + 1) * 40
-            );
-            assert_eq!(
-                structural_digest(&ov.materialize(&b, 4)),
-                structural_digest(&reference),
-                "materialization diverged at prefix {}",
-                (i + 1) * 40
-            );
-            // Point queries agree with the reference graph everywhere.
-            for v in (0..ov.n_total()).step_by(17) {
-                assert_eq!(ov.degree(&b, v), reference.degree(v), "degree({v})");
-                assert_eq!(ov.k_hop(&b, v, 2), reference.k_hop(v, 2), "k_hop({v})");
-            }
-        }
+        let ov = check_stream("seeded", &b, &muts, 40, 4);
+        let replayed = rebuilt(&b, &muts);
+        assert_same_graph(
+            &ov.materialize(&b, 4),
+            &replayed,
+            "seeded, one-batch replay",
+        );
+
+        // Parallel base edges (distinct weights): tombstone one pair,
+        // re-weight another, upsert a third, and rebuild in-row 0 around
+        // a fourth that must keep its base order.
+        let parallel = ShardedGraph::build(
+            Csr::from_edges(
+                4,
+                &[
+                    (0, 1, 1.0),
+                    (0, 2, 2.0),
+                    (0, 1, 3.0),
+                    (0, 2, 4.0),
+                    (3, 0, 5.0),
+                    (3, 0, 6.0),
+                    (2, 3, 7.0),
+                    (2, 3, 7.5),
+                ],
+            ),
+            2,
+        );
+        let muts = [
+            Mutation::RemoveEdge { u: 0, v: 1 },
+            Mutation::SetWeight { u: 0, v: 2, w: 9.0 },
+            Mutation::AddEdge { u: 2, v: 3, w: 8.0 },
+            Mutation::AddEdge { u: 1, v: 0, w: 1.5 },
+        ];
+        check_stream("parallel edges", &parallel, &muts, 1, 2);
+
+        // Base self-loops: re-weight one, tombstone another, and touch
+        // their vertices' rows with ordinary edges.
+        let loops = ShardedGraph::build(
+            Csr::from_edges(
+                4,
+                &[
+                    (1, 1, 1.0),
+                    (1, 2, 2.0),
+                    (2, 2, 3.0),
+                    (3, 1, 4.0),
+                    (2, 0, 5.0),
+                ],
+            ),
+            3,
+        );
+        let muts = [
+            Mutation::SetWeight { u: 1, v: 1, w: 7.0 },
+            Mutation::RemoveEdge { u: 2, v: 2 },
+            Mutation::AddEdge { u: 1, v: 3, w: 1.0 },
+            Mutation::RemoveEdge { u: 3, v: 1 },
+        ];
+        check_stream("base self-loops", &loops, &muts, 1, 3);
+
+        // New vertices, then edges to, from and between them.
+        let n = b.num_vertices() as u32;
+        let muts = [
+            Mutation::AddVertex,
+            Mutation::AddVertex,
+            Mutation::AddEdge { u: 0, v: n, w: 1.0 },
+            Mutation::AddEdge { u: n, v: 1, w: 2.0 },
+            Mutation::AddEdge {
+                u: n,
+                v: n + 1,
+                w: 3.0,
+            },
+            Mutation::AddEdge {
+                u: n + 1,
+                v: 0,
+                w: 4.0,
+            },
+            Mutation::AddEdge {
+                u: 5,
+                v: n + 1,
+                w: 5.0,
+            },
+        ];
+        check_stream("added vertices", &b, &muts, 2, 4);
+
+        // Removing the vertex with the highest in-degree rewrites the
+        // out-rows of all its sources.
+        let inc = b.service().bi().inc();
+        let hub = (0..n).max_by_key(|&v| inc.degree(v)).unwrap();
+        let muts = [
+            Mutation::AddEdge {
+                u: hub,
+                v: 7,
+                w: 1.0,
+            },
+            Mutation::RemoveVertex { v: hub },
+            Mutation::AddEdge {
+                u: 7,
+                v: hub,
+                w: 1.0,
+            },
+        ];
+        check_stream("hub removal", &b, &muts, 1, 4);
+
+        // An empty overlay folds to a plain copy.
+        let ov = check_stream("empty overlay", &b, &[], 1, 4);
+        assert!(ov.is_empty());
+
+        // Second generation: compact the seeded stream, then patch over a
+        // base that is itself a patched fold, with a different shard count.
+        let folded = ov_after(&b, &seeded_mutations(&b, 0xD5EA, 400)).materialize(&b, 4);
+        let muts = seeded_mutations(&folded, 0x2E2E, 200);
+        check_stream("second generation", &folded, &muts, 50, 3);
     }
 
     #[test]

@@ -83,63 +83,13 @@ impl ShardedGraph {
     /// Shard `csr` into at most `num_shards` contiguous vertex ranges with
     /// near-equal edge mass, and precompute the kernel views.
     pub fn build(csr: Csr, num_shards: usize) -> Self {
-        let n = csr.num_vertices();
-        let p = num_shards.max(1);
-        let total_weight: u64 = (0..n as u32).map(|v| csr.degree(v) as u64 + 1).sum();
-        let target = total_weight.div_ceil(p as u64).max(1);
-        let mut shards = Vec::with_capacity(p);
-        let mut start = 0u32;
-        let mut acc = 0u64;
-        let mut edges = 0u64;
-        let mut max_degree = 0u32;
-        for v in 0..n as u32 {
-            let d = csr.degree(v);
-            acc += d as u64 + 1;
-            edges += d as u64;
-            max_degree = max_degree.max(d);
-            // Close the shard once it reaches its weight target, unless the
-            // remaining vertices are needed to populate remaining shards.
-            let remaining_shards = p - shards.len();
-            let remaining_vertices = n as u32 - v;
-            if (acc >= target && remaining_vertices as usize >= remaining_shards)
-                || remaining_vertices as usize == remaining_shards - 1
-            {
-                shards.push(CsrShard {
-                    index: shards.len(),
-                    start,
-                    end: v + 1,
-                    edges,
-                    max_degree,
-                });
-                start = v + 1;
-                acc = 0;
-                edges = 0;
-                max_degree = 0;
-                if shards.len() == p {
-                    break;
-                }
-            }
-        }
-        if start < n as u32 || shards.is_empty() {
-            let mut edges = 0u64;
-            let mut max_degree = 0u32;
-            for v in start..n as u32 {
-                let d = csr.degree(v);
-                edges += d as u64;
-                max_degree = max_degree.max(d);
-            }
-            shards.push(CsrShard {
-                index: shards.len(),
-                start,
-                end: n as u32,
-                edges,
-                max_degree,
-            });
-        }
-        ShardedGraph {
-            service: ServiceGraph::build(csr),
-            shards,
-        }
+        Self::from_service(ServiceGraph::build(csr), num_shards)
+    }
+
+    /// Shard kernel views that are already built (see [`partition`]).
+    pub fn from_service(service: ServiceGraph, num_shards: usize) -> Self {
+        let shards = partition(service.out(), num_shards);
+        ShardedGraph { service, shards }
     }
 
     /// The kernel views this partition shares.
@@ -217,6 +167,65 @@ impl ShardedGraph {
         }
         count
     }
+}
+
+/// Split `csr`'s vertex range into at most `num_shards` contiguous shards
+/// with near-equal `degree + 1` mass.
+fn partition(csr: &Csr, num_shards: usize) -> Vec<CsrShard> {
+    let n = csr.num_vertices();
+    let p = num_shards.max(1);
+    let total_weight: u64 = (0..n as u32).map(|v| csr.degree(v) as u64 + 1).sum();
+    let target = total_weight.div_ceil(p as u64).max(1);
+    let mut shards = Vec::with_capacity(p);
+    let mut start = 0u32;
+    let mut acc = 0u64;
+    let mut edges = 0u64;
+    let mut max_degree = 0u32;
+    for v in 0..n as u32 {
+        let d = csr.degree(v);
+        acc += d as u64 + 1;
+        edges += d as u64;
+        max_degree = max_degree.max(d);
+        // Close the shard once it reaches its weight target, unless the
+        // remaining vertices are needed to populate remaining shards.
+        let remaining_shards = p - shards.len();
+        let remaining_vertices = n as u32 - v;
+        if (acc >= target && remaining_vertices as usize >= remaining_shards)
+            || remaining_vertices as usize == remaining_shards - 1
+        {
+            shards.push(CsrShard {
+                index: shards.len(),
+                start,
+                end: v + 1,
+                edges,
+                max_degree,
+            });
+            start = v + 1;
+            acc = 0;
+            edges = 0;
+            max_degree = 0;
+            if shards.len() == p {
+                break;
+            }
+        }
+    }
+    if start < n as u32 || shards.is_empty() {
+        let mut edges = 0u64;
+        let mut max_degree = 0u32;
+        for v in start..n as u32 {
+            let d = csr.degree(v);
+            edges += d as u64;
+            max_degree = max_degree.max(d);
+        }
+        shards.push(CsrShard {
+            index: shards.len(),
+            start,
+            end: n as u32,
+            edges,
+            max_degree,
+        });
+    }
+    shards
 }
 
 #[cfg(test)]

@@ -26,11 +26,13 @@ use std::time::{Duration, Instant};
 
 use graphbig_chaos::{self as chaos, FaultAction, FaultPlan};
 use graphbig_datagen::rng::Rng;
+use graphbig_framework::csr::Csr;
 use graphbig_runtime::{CancelToken, ThreadPool};
 use graphbig_telemetry::{MetricSink, RunManifest};
 use graphbig_workloads::service::{self, ServiceError};
 use graphbig_workloads::{CostClass, Workload};
 
+use crate::delta::DeltaOverlay;
 use crate::engine::{Engine, Query, QueryOutput, QueryResponse, QueryStatus};
 use crate::shard::ShardedGraph;
 use crate::slo::SloSpec;
@@ -314,6 +316,25 @@ pub fn mutation_oracle_digest(base: &ShardedGraph, ops: &[MixOp]) -> u64 {
         }
     }
     buffer.current().live_digest(base)
+}
+
+/// The rebuild oracle's reference fold: gather every live edge of `ov`
+/// over `base` and build every view anew (`Csr::from_edges`, then
+/// [`ShardedGraph::build`]). It shares only the definition of a live edge
+/// ([`DeltaOverlay::for_each_live_out`]) with the row patch in
+/// [`DeltaOverlay::materialize`], which must equal it view for view; no
+/// serving path calls it.
+pub fn rebuild_from_scratch(
+    ov: &DeltaOverlay,
+    base: &ShardedGraph,
+    num_shards: usize,
+) -> ShardedGraph {
+    let n = ov.n_total();
+    let mut edges = Vec::new();
+    for u in 0..n {
+        ov.for_each_live_out(base, u, |t, w| edges.push((u, t, w)));
+    }
+    ShardedGraph::build(Csr::from_edges(n as usize, &edges), num_shards)
 }
 
 /// Structural digest of the engine's *current* graph state: the live
@@ -810,7 +831,6 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use graphbig_datagen::Dataset;
-    use graphbig_framework::csr::Csr;
     use graphbig_telemetry::metrics::Registry;
 
     fn csr(n: usize) -> Csr {

@@ -10,7 +10,9 @@ use std::sync::{Mutex, MutexGuard, Once};
 
 use graphbig_chaos::{self as chaos, FaultAction, FaultPlan, FaultSpec, Trigger};
 use graphbig_datagen::Dataset;
-use graphbig_engine::traffic::{generate_requests, run_chaos_mix, sequential_digests, MixSpec};
+use graphbig_engine::traffic::{
+    generate_requests, rebuild_from_scratch, run_chaos_mix, sequential_digests, MixSpec,
+};
 use graphbig_engine::{check_chaos_invariants, Engine, EngineConfig, Query, QueryStatus};
 use graphbig_framework::csr::Csr;
 use graphbig_telemetry::metrics::{MetricValue, Registry};
@@ -558,7 +560,7 @@ fn stale_read_injection_is_caught_by_the_rebuild_oracle() {
     // The rebuild oracle catches it: a graph rebuilt from scratch with the
     // same mutation disagrees with the injected answer — exactly the
     // mismatch a digest comparison would flag.
-    let rebuilt = eng.overlay().materialize(base.graph(), 4);
+    let rebuilt = rebuild_from_scratch(&eng.overlay(), base.graph(), 4);
     let (rebuilt_out, _) = rebuilt.degree(0).unwrap();
     assert_eq!(rebuilt_out, before + 1);
     assert_ne!(

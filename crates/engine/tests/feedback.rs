@@ -18,6 +18,16 @@ use graphbig_engine::traffic::{
 use graphbig_engine::{check_chaos_invariants, AdmissionController, Engine, EngineConfig};
 use graphbig_framework::csr::Csr;
 use graphbig_telemetry::metrics::{MetricValue, Registry};
+use std::sync::{Mutex, MutexGuard};
+
+/// Chaos arming is process-global: a fault plan armed by a gated test
+/// below (poisoned cache inserts, say) hits every engine in the process,
+/// so every test in this file takes one gate.
+static GATE: Mutex<()> = Mutex::new(());
+
+fn gate() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn csr(n: usize) -> Csr {
     Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(n))
@@ -27,6 +37,7 @@ const KEYS: [&str; 4] = ["degree", "khop", "bfs", "kcore"];
 
 #[test]
 fn correction_factor_never_leaves_the_clamp() {
+    let _g = gate();
     prop::check(
         "feedback_correction_clamped",
         Config::with_cases(32),
@@ -68,6 +79,7 @@ fn correction_factor_never_leaves_the_clamp() {
 
 #[test]
 fn adaptive_costs_never_overcommit_a_busy_controller() {
+    let _g = gate();
     prop::check(
         "feedback_admission_budget",
         Config::with_cases(24),
@@ -126,6 +138,7 @@ fn adaptive_costs_never_overcommit_a_busy_controller() {
 
 #[test]
 fn cached_hot_mixes_stay_bit_identical_to_the_oracle() {
+    let _g = gate();
     prop::check(
         "feedback_cache_oracle",
         Config::with_cases(5),
@@ -173,6 +186,7 @@ fn cached_hot_mixes_stay_bit_identical_to_the_oracle() {
 
 #[test]
 fn publish_invalidates_the_cache_for_correctness_not_just_memory() {
+    let _g = gate();
     // Warm the cache on one graph, publish a different one, and demand
     // the same queries now match the *new* graph's sequential oracle —
     // a stale-cache bug would serve old-epoch answers bit-identically
@@ -210,6 +224,7 @@ fn publish_invalidates_the_cache_for_correctness_not_just_memory() {
 
 #[test]
 fn cache_on_and_cache_off_answers_are_bit_identical() {
+    let _g = gate();
     // The acceptance bar for the cache: responses with caching enabled
     // are indistinguishable from responses without it.
     let spec = MixSpec {
@@ -249,14 +264,13 @@ mod chaos_paths {
     use super::*;
     use graphbig_chaos::{self as chaos, FaultAction, FaultPlan, FaultSpec, Trigger};
     use graphbig_engine::traffic::run_chaos_mix;
-    use std::sync::{Mutex, MutexGuard, Once};
+    use std::sync::Once;
 
-    static SERIAL: Mutex<()> = Mutex::new(());
     static QUIET: Once = Once::new();
 
     fn serial() -> MutexGuard<'static, ()> {
         QUIET.call_once(chaos::install_quiet_panic_hook);
-        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+        gate()
     }
 
     fn fault(site: &str, trigger: Trigger, action: FaultAction) -> FaultSpec {

@@ -3,15 +3,21 @@
 //! same mutations — checked mid-overlay, post-compaction, and under the
 //! background compactor — at more than one client count.
 
+use graphbig_datagen::rng::Rng;
 use graphbig_datagen::Dataset;
 use graphbig_engine::traffic::{
-    generate_ops, live_engine_digest, mutation_oracle_digest, resolve_write, run_mix, MixOp,
+    generate_ops, live_engine_digest, mutation_oracle_digest, rebuild_from_scratch, resolve_write,
+    run_mix, MixOp,
 };
 use graphbig_engine::{
-    check_chaos_invariants, structural_digest, Engine, EngineConfig, MixSpec, MutationBuffer,
+    check_chaos_invariants, structural_digest, Engine, EngineConfig, MixSpec, Mutation,
+    MutationBuffer, Query, QueryOutput, QueryStatus,
 };
 use graphbig_framework::csr::Csr;
+use graphbig_runtime::{CancelToken, ThreadPool};
 use graphbig_telemetry::metrics::{MetricValue, Registry};
+use graphbig_workloads::service::run_service;
+use graphbig_workloads::Workload;
 
 fn engine(n: usize, compact_threshold: usize, reg: &Registry) -> Engine {
     let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(n));
@@ -89,15 +95,15 @@ fn ten_thousand_op_stream_matches_the_rebuild_oracle_at_two_client_counts() {
         );
         assert_eq!(live_engine_digest(&eng), expected, "clients={clients}");
 
-        // Rebuilt from scratch: a fresh buffer fed the same writes,
-        // materialized into a brand-new CSR, digests identically.
+        // Rebuilt from scratch: a fresh buffer fed the same writes, its
+        // live edges built into a brand-new CSR, digests identically.
         let rebuild = MutationBuffer::new(1, n);
         for op in &ops {
             if let MixOp::Write(w) = op {
                 rebuild.apply(base.graph(), &resolve_write(base.graph(), *w));
             }
         }
-        let scratch = rebuild.current().materialize(base.graph(), 4);
+        let scratch = rebuild_from_scratch(&rebuild.current(), base.graph(), 4);
         assert_eq!(structural_digest(&scratch), expected);
 
         // Post-compaction: the folded epoch serves the same graph.
@@ -187,4 +193,70 @@ fn write_mix_replay_is_bit_identical_from_one_seed() {
     let second = run();
     assert_eq!(first, second, "same seed, same outcomes and final graph");
     assert_eq!(first.1, 600);
+}
+
+#[test]
+fn kernels_served_over_each_single_edge_write_match_a_from_scratch_rebuild() {
+    // The write `write_mix` sends, at test scale: one edge per batch, a
+    // quarter of them deletes of a live edge, and a heavy read after each.
+    let reg = Registry::new();
+    let eng = Engine::with_registry(
+        EngineConfig {
+            executors: 2,
+            pool_threads: 2,
+            compact_threshold: 0,
+            cache_capacity: 0,
+            ..EngineConfig::default()
+        },
+        Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(400)),
+        &reg,
+    );
+    let base = eng.store().snapshot();
+    let n = base.graph().num_vertices() as u32;
+    let pool = ThreadPool::new(2);
+    let never = CancelToken::never();
+    let mut rng = Rng::seed_from_u64(0x5EED);
+    for step in 0..24 {
+        let u = rng.u64_below(n as u64) as u32;
+        let write = if step % 4 == 3 {
+            let mut live = Vec::new();
+            eng.overlay()
+                .for_each_live_out(base.graph(), u, |t, _| live.push(t));
+            match live.first() {
+                Some(&v) => Mutation::RemoveEdge { u, v },
+                None => Mutation::AddEdge {
+                    u,
+                    v: (u + 1) % n,
+                    w: 1.0,
+                },
+            }
+        } else {
+            let v = rng.u64_below(n as u64) as u32;
+            Mutation::AddEdge {
+                u,
+                v,
+                w: rng.u64_below(50) as f32 + 0.25,
+            }
+        };
+        eng.mutate(&[write]).unwrap();
+        let reference = rebuild_from_scratch(&eng.overlay(), base.graph(), 4);
+        let source = rng.u64_below(n as u64) as u32;
+        for workload in [
+            Workload::Bfs,
+            Workload::CComp,
+            Workload::KCore,
+            Workload::SPath,
+        ] {
+            let got = eng.submit(Query::Run { workload, source }).unwrap().wait();
+            let QueryStatus::Completed(QueryOutput::Workload(got)) = got.status else {
+                panic!("step {step} {workload}: {:?}", got.status);
+            };
+            let want = run_service(workload, &pool, reference.service(), source, &never).unwrap();
+            assert_eq!(got, want, "step {step} ({write:?}): {workload} diverged");
+        }
+    }
+    assert!(
+        eng.overlay().dirty(),
+        "the stream must include effective deletes"
+    );
 }

@@ -221,16 +221,100 @@ impl Csr {
             weights[p] = w;
             cursor[u as usize] += 1;
         }
-        let ids: Vec<VertexId> = (0..n as VertexId).collect();
-        let id_map: Vec<(VertexId, u32)> = (0..n).map(|i| (i as VertexId, i as u32)).collect();
+        Csr::with_identity_ids(row_offsets, col, weights)
+    }
+
+    /// Assemble dense arrays over `row_offsets.len() - 1` vertices with the
+    /// identity id mapping.
+    fn with_identity_ids(row_offsets: Vec<u64>, col: Vec<u32>, weights: Vec<f32>) -> Self {
+        let n = row_offsets.len() - 1;
         Csr {
             row_offsets,
             col,
             weights,
-            ids,
-            id_map,
+            ids: (0..n as VertexId).collect(),
+            id_map: (0..n).map(|i| (i as VertexId, i as u32)).collect(),
             dangling_skipped: 0,
         }
+    }
+
+    /// A copy of `base` over `n >= base.num_vertices()` vertices with
+    /// identity ids (as [`Csr::from_edges`] gives), in which each row named
+    /// in `touched` (strictly ascending) holds the `(target, weight)` pairs
+    /// `fill(u, row)` pushes instead of its base row. Every other row is
+    /// copied verbatim, in bulk runs between touched rows; rows past the
+    /// base are empty. The cost is one copy of the base arrays plus the
+    /// replacement rows.
+    pub fn splice_rows(
+        base: &Csr,
+        n: usize,
+        touched: &[u32],
+        mut fill: impl FnMut(u32, &mut Vec<(u32, f32)>),
+    ) -> Csr {
+        let base_n = base.num_vertices();
+        assert!(n >= base_n, "splice_rows shrinks {base_n} rows to {n}");
+        assert!(
+            touched.windows(2).all(|w| w[0] < w[1])
+                && touched.last().is_none_or(|&u| (u as usize) < n),
+            "touched rows must be strictly ascending and below {n}"
+        );
+        // Fill the replacement rows first so the arrays are sized exactly.
+        let mut row = Vec::new();
+        let mut repl: Vec<(u32, f32)> = Vec::new();
+        let mut ends = Vec::with_capacity(touched.len());
+        let mut replaced = 0usize;
+        for &u in touched {
+            row.clear();
+            fill(u, &mut row);
+            repl.extend_from_slice(&row);
+            ends.push(repl.len());
+            if (u as usize) < base_n {
+                replaced += base.degree(u) as usize;
+            }
+        }
+        let m = base.num_edges() - replaced + repl.len();
+        let mut row_offsets = Vec::with_capacity(n + 1);
+        row_offsets.push(0);
+        let mut out = Csr {
+            row_offsets,
+            col: Vec::with_capacity(m),
+            weights: Vec::with_capacity(m),
+            ids: Vec::new(),
+            id_map: Vec::new(),
+            dangling_skipped: 0,
+        };
+        let (mut next, mut start) = (0usize, 0usize);
+        for (&u, &end) in touched.iter().zip(&ends) {
+            out.push_rows_of(base, next, u as usize);
+            out.col.extend(repl[start..end].iter().map(|&(t, _)| t));
+            out.weights.extend(repl[start..end].iter().map(|&(_, w)| w));
+            out.row_offsets.push(out.col.len() as u64);
+            (next, start) = (u as usize + 1, end);
+        }
+        out.push_rows_of(base, next, n);
+        Csr::with_identity_ids(out.row_offsets, out.col, out.weights)
+    }
+
+    /// Append `base`'s rows `from..to` (empty past the base) to a CSR
+    /// under construction.
+    fn push_rows_of(&mut self, base: &Csr, from: usize, to: usize) {
+        let hi = to.min(base.num_vertices());
+        if from < hi {
+            let (lo_e, hi_e) = (base.row_offsets[from], base.row_offsets[hi]);
+            let shift = self.col.len() as u64;
+            self.col
+                .extend_from_slice(&base.col[lo_e as usize..hi_e as usize]);
+            self.weights
+                .extend_from_slice(&base.weights[lo_e as usize..hi_e as usize]);
+            self.row_offsets.extend(
+                base.row_offsets[from + 1..=hi]
+                    .iter()
+                    .map(|&o| o - lo_e + shift),
+            );
+        }
+        let len = self.col.len() as u64;
+        self.row_offsets
+            .extend(std::iter::repeat_n(len, to - from.max(hi)));
     }
 
     /// Number of vertices.
@@ -299,41 +383,79 @@ impl Csr {
             .map(|p| self.id_map[p].1)
     }
 
-    /// Reverse every edge (used to get in-edges on static graphs).
+    /// Reverse every edge (used to get in-edges on static graphs). One
+    /// counting pass and one scatter pass, O(n + m): each in-row lists its
+    /// sources in ascending order, parallel edges in out-row order.
     pub fn transpose(&self) -> Csr {
         let n = self.num_vertices();
-        let mut edges = Vec::with_capacity(self.num_edges());
-        for u in 0..n as u32 {
-            for (i, &v) in self.neighbors(u).iter().enumerate() {
-                edges.push((v, u, self.edge_weights(u)[i]));
+        let m = self.num_edges();
+        let mut row_offsets = vec![0u64; n + 1];
+        for &v in &self.col {
+            row_offsets[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            row_offsets[v + 1] += row_offsets[v];
+        }
+        let mut cursor = row_offsets[..n].to_vec();
+        let mut col = vec![0u32; m];
+        let mut weights = vec![0f32; m];
+        for u in 0..n {
+            let (lo, hi) = (
+                self.row_offsets[u] as usize,
+                self.row_offsets[u + 1] as usize,
+            );
+            for (&v, &w) in self.col[lo..hi].iter().zip(&self.weights[lo..hi]) {
+                let p = cursor[v as usize] as usize;
+                col[p] = u as u32;
+                weights[p] = w;
+                cursor[v as usize] += 1;
             }
         }
-        let mut t = Csr::from_edges(n, &edges);
-        t.ids = self.ids.clone();
-        t.id_map = self.id_map.clone();
-        t
+        Csr {
+            row_offsets,
+            col,
+            weights,
+            ids: self.ids.clone(),
+            id_map: self.id_map.clone(),
+            dangling_skipped: 0,
+        }
     }
 
     /// Symmetrize: ensure `v in N(u)  =>  u in N(v)`, deduplicating edges.
-    /// Self-loops are dropped. Used by undirected GPU kernels (kCore, TC).
+    /// Self-loops are dropped and every row comes out sorted ascending, all
+    /// weights 1. Used by undirected kernels (CComp, kCore, TC, GColor).
     pub fn symmetrize(&self) -> Csr {
+        self.symmetrize_with(&self.transpose())
+    }
+
+    /// [`Csr::symmetrize`] given `inc`, this graph's [`Csr::transpose`]:
+    /// one [`sym_row`] merge per vertex, O(n + m log d_max), instead of a
+    /// global sort of all 2m directed pairs.
+    pub fn symmetrize_with(&self, inc: &Csr) -> Csr {
         let n = self.num_vertices();
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(self.num_edges() * 2);
+        let mut row_offsets = Vec::with_capacity(n + 1);
+        let mut col = Vec::with_capacity(self.num_edges() + inc.num_edges());
+        let mut sorted = Vec::new();
+        row_offsets.push(0u64);
         for u in 0..n as u32 {
-            for &v in self.neighbors(u) {
-                if u != v {
-                    pairs.push((u, v));
-                    pairs.push((v, u));
-                }
-            }
+            sym_row(
+                u,
+                self.neighbors(u),
+                inc.neighbors(u),
+                &mut sorted,
+                &mut col,
+            );
+            row_offsets.push(col.len() as u64);
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let edges: Vec<(u32, u32, f32)> = pairs.into_iter().map(|(u, v)| (u, v, 1.0)).collect();
-        let mut s = Csr::from_edges(n, &edges);
-        s.ids = self.ids.clone();
-        s.id_map = self.id_map.clone();
-        s
+        col.shrink_to_fit();
+        Csr {
+            row_offsets,
+            weights: vec![1.0; col.len()],
+            col,
+            ids: self.ids.clone(),
+            id_map: self.id_map.clone(),
+            dangling_skipped: 0,
+        }
     }
 
     /// Sort each adjacency list ascending (required by intersection-based
@@ -384,6 +506,33 @@ impl Csr {
     }
 }
 
+/// Append the symmetric row of vertex `u` to `dst`: the sorted,
+/// deduplicated union of its out-row and in-row, without `u` itself.
+/// `in_row` must be sorted ascending, as [`Csr::transpose`] leaves it;
+/// `out_row` may come in any order (`sorted` is scratch space for its
+/// sorted copy). This is the one definition of a symmetric row: whole-graph
+/// [`Csr::symmetrize_with`] and any per-row rebuild both go through it.
+pub fn sym_row(u: u32, out_row: &[u32], in_row: &[u32], sorted: &mut Vec<u32>, dst: &mut Vec<u32>) {
+    debug_assert!(in_row.windows(2).all(|w| w[0] <= w[1]));
+    sorted.clear();
+    sorted.extend_from_slice(out_row);
+    sorted.sort_unstable();
+    let start = dst.len();
+    let (mut i, mut j) = (0, 0);
+    while i < sorted.len() || j < in_row.len() {
+        let v = if j == in_row.len() || (i < sorted.len() && sorted[i] <= in_row[j]) {
+            i += 1;
+            sorted[i - 1]
+        } else {
+            j += 1;
+            in_row[j - 1]
+        };
+        if v != u && dst[start..].last() != Some(&v) {
+            dst.push(v);
+        }
+    }
+}
+
 /// A CSR paired with its in-edge (transposed) view.
 ///
 /// Direction-optimizing traversals need both directions: top-down steps
@@ -404,6 +553,12 @@ impl BiCsr {
     /// Pair a directed CSR with its transpose (built here, O(n + m)).
     pub fn directed(out: Csr) -> Self {
         let inc = out.transpose();
+        Self::from_parts(out, inc)
+    }
+
+    /// Pair a directed CSR with an already-built in-edge view; `inc` must
+    /// equal `out.transpose()`.
+    pub fn from_parts(out: Csr, inc: Csr) -> Self {
         BiCsr {
             out,
             inc: Some(inc),
@@ -640,6 +795,147 @@ mod tests {
         let bi = BiCsr::symmetric(s.clone());
         assert_eq!(bi.out(), &s);
         assert_eq!(bi.inc(), &s);
+    }
+
+    /// The global-sort symmetrization [`Csr::symmetrize`] replaced: every
+    /// non-loop arc as two directed pairs, one sort of all 2m, dedup. Kept
+    /// as the reference the per-row merge must match bit for bit.
+    fn symmetrize_by_global_sort(csr: &Csr) -> Csr {
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for u in 0..csr.num_vertices() as u32 {
+            for &v in csr.neighbors(u) {
+                if u != v {
+                    pairs.push((u, v));
+                    pairs.push((v, u));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let edges: Vec<(u32, u32, f32)> = pairs.into_iter().map(|(u, v)| (u, v, 1.0)).collect();
+        let mut s = Csr::from_edges(csr.num_vertices(), &edges);
+        s.ids = csr.ids.clone();
+        s.id_map = csr.id_map.clone();
+        s
+    }
+
+    /// The edge-list transpose [`Csr::transpose`] replaced.
+    fn transpose_by_edge_list(csr: &Csr) -> Csr {
+        let mut edges = Vec::new();
+        for u in 0..csr.num_vertices() as u32 {
+            for (&v, &w) in csr.neighbors(u).iter().zip(csr.edge_weights(u)) {
+                edges.push((v, u, w));
+            }
+        }
+        let mut t = Csr::from_edges(csr.num_vertices(), &edges);
+        t.ids = csr.ids.clone();
+        t.id_map = csr.id_map.clone();
+        t
+    }
+
+    /// A random graph case: `n` and endpoint pairs reduced mod `n`. Few
+    /// vertices and many pairs force self-loops and parallel edges; weights
+    /// follow edge order, so parallel copies carry distinct weights.
+    fn random_case(rng: &mut graphbig_datagen::rng::Rng) -> (u32, Vec<(u32, u32)>) {
+        let n = rng.gen_range(0u32..24);
+        let pairs = graphbig_datagen::prop::vec_of(rng, 0..120, |r| {
+            (r.gen_range(0u32..24), r.gen_range(0u32..24))
+        });
+        (n, pairs)
+    }
+
+    fn case_csr(n: u32, pairs: &[(u32, u32)]) -> Csr {
+        let edges: Vec<(u32, u32, f32)> = if n == 0 {
+            Vec::new()
+        } else {
+            pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(u, v))| (u % n, v % n, i as f32 + 0.5))
+                .collect()
+        };
+        Csr::from_edges(n as usize, &edges)
+    }
+
+    #[test]
+    fn linear_view_builders_match_the_sorting_references() {
+        use graphbig_datagen::prop::{check, Config};
+        check(
+            "linear_view_builders_match_the_sorting_references",
+            Config::with_cases(256),
+            random_case,
+            |(n, pairs)| {
+                let csr = case_csr(*n, pairs);
+                assert_eq!(csr.transpose(), transpose_by_edge_list(&csr));
+                assert_eq!(csr.symmetrize(), symmetrize_by_global_sort(&csr));
+            },
+        );
+        // Non-identity ids carry over to both views.
+        let g = diamond_graph();
+        let csr = Csr::from_graph(&g);
+        assert_eq!(csr.transpose(), transpose_by_edge_list(&csr));
+        assert_eq!(csr.symmetrize(), symmetrize_by_global_sort(&csr));
+    }
+
+    #[test]
+    fn splice_rows_replaces_exactly_the_touched_rows() {
+        use graphbig_datagen::prop::{check, Config};
+        check(
+            "splice_rows_replaces_exactly_the_touched_rows",
+            Config::with_cases(256),
+            |rng| {
+                let (n, pairs) = random_case(rng);
+                let grow = rng.gen_range(0u32..4);
+                let touched: Vec<u32> = (0..n + grow)
+                    .filter(|_| rng.gen_range(0u32..3) == 0)
+                    .collect();
+                ((n, pairs), (grow, touched))
+            },
+            |((n, pairs), (grow, touched))| {
+                let base = case_csr(*n, pairs);
+                let total = (n + grow) as usize;
+                // Replacement row u: one self-loop plus u's base row reversed.
+                let replacement = |u: u32| -> Vec<(u32, f32)> {
+                    let mut row = vec![(u, -1.0)];
+                    if (u as usize) < base.num_vertices() {
+                        let cols = base.neighbors(u).iter().rev();
+                        row.extend(
+                            cols.zip(base.edge_weights(u).iter().rev())
+                                .map(|(&t, &w)| (t, w)),
+                        );
+                    }
+                    row
+                };
+                let touched: Vec<u32> = touched.iter().copied().filter(|&u| u < n + grow).collect();
+                let got =
+                    Csr::splice_rows(&base, total, &touched, |u, row| row.extend(replacement(u)));
+                let mut edges = Vec::new();
+                for u in 0..total as u32 {
+                    if touched.contains(&u) {
+                        edges.extend(replacement(u).into_iter().map(|(t, w)| (u, t, w)));
+                    } else if (u as usize) < base.num_vertices() {
+                        for (&t, &w) in base.neighbors(u).iter().zip(base.edge_weights(u)) {
+                            edges.push((u, t, w));
+                        }
+                    }
+                }
+                assert_eq!(got, Csr::from_edges(total, &edges));
+            },
+        );
+        // An untouched splice of a renumbered graph is a copy with identity ids.
+        let csr = Csr::from_graph(&diamond_graph());
+        let copy = Csr::splice_rows(&csr, 5, &[], |_, _| unreachable!());
+        assert_eq!(copy.neighbors(0), csr.neighbors(0));
+        assert_eq!(copy.num_vertices(), 5);
+        assert_eq!(copy.id_of(4), 4);
+    }
+
+    #[test]
+    fn sym_row_is_local_to_its_row() {
+        // The previous row in `dst` ends in 3; this row's 3 must still land.
+        let mut dst = vec![1, 3];
+        sym_row(0, &[3, 3, 0, 2], &[0, 2, 5], &mut Vec::new(), &mut dst);
+        assert_eq!(dst, vec![1, 3, 2, 3, 5]);
     }
 
     #[test]

@@ -26,12 +26,20 @@ pub struct ServiceGraph {
 }
 
 impl ServiceGraph {
-    /// Build both views from a directed CSR snapshot.
+    /// Build both views from a directed CSR snapshot: one transpose, shared
+    /// by the in-edge view and the symmetrization.
     pub fn build(csr: Csr) -> Self {
-        let mut sym = csr.symmetrize();
-        sym.sort_adjacency();
+        let inc = csr.transpose();
+        let sym = csr.symmetrize_with(&inc);
+        Self::from_views(csr, inc, sym)
+    }
+
+    /// Assemble from views that are already built. `inc` must equal
+    /// `out.transpose()` and `sym` must equal `out.symmetrize()` — what
+    /// [`ServiceGraph::build`] would compute.
+    pub fn from_views(out: Csr, inc: Csr, sym: Csr) -> Self {
         ServiceGraph {
-            bi: BiCsr::directed(csr),
+            bi: BiCsr::from_parts(out, inc),
             sym,
         }
     }
